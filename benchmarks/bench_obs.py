@@ -36,8 +36,10 @@ serving slower than the revalidating path it replaces.
 
 ``query_sharded`` serves the same batch through a local 2-shard
 :class:`~repro.shard.ShardedService` fleet; its relative gate
-(``SHARD_SPEEDUP_MIN``) bounds the scatter-gather tax — pipes, pickling
-and routing must keep the fleet within 2x of the in-process plan path.
+(``SHARD_SPEEDUP_MIN``) bounds the scatter-gather tax — pipes, packed
+arrays and routing must keep the fleet within 2x of the in-process
+vector path, whose kernel the workers run on their slices.  Like the
+other vec gates it is skipped when numpy is unavailable.
 
 ``query_batch_vec`` and ``distance_vec`` serve the same batch and exact
 pairs through the numpy :class:`~repro.core.planvec.VectorBackend`; the
@@ -160,11 +162,11 @@ MVCC_TWINS = {"query_mvcc": "query_batch_plan"}
 MVCC_SPEEDUP_MIN = 0.85
 
 # Scatter-gather over a local 2-shard fleet serves the same batch through
-# pipes, pickling and the routing loop — a tax, not a win, on one
-# machine (sharding exists for capacity and fault isolation).  The gate
-# bounds the tax: the fleet must stay within 2x of the in-process plan
-# path (measured ~0.75x on the pinned workload).
-SHARD_TWINS = {"query_sharded": "query_batch_plan"}
+# pipes, packed arrays and vectorized routing, each worker running the
+# vector kernel on its slice — a tax, not a win, on one machine
+# (sharding exists for capacity and fault isolation).  The gate bounds
+# the tax: the fleet must stay within 2x of the in-process vector path.
+SHARD_TWINS = {"query_sharded": "query_batch_vec"}
 SHARD_SPEEDUP_MIN = 0.5
 SHARD_NSHARDS = 2
 
@@ -481,7 +483,8 @@ def run_workload() -> dict[str, float]:
         )
 
     # Sharded scatter-gather over the same plan and pairs; spawn/load and
-    # one warmup batch (worker first-touch, g-row heating) stay untimed.
+    # one warmup batch (worker numpy import and slice g-matrices) stay
+    # untimed, like vec_build for the in-process vector path.
     from repro.shard import ShardedService
 
     svc = ShardedService(plan, nshards=SHARD_NSHARDS, rpc_timeout=30.0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,16 +94,33 @@ def sample_vertex_pairs(
     on pairs drawn the same way, so their verdicts are comparable.  Pass
     ``rng`` to continue an existing stream (the auditor does, so each
     tick draws fresh pairs deterministically); ``seed`` otherwise.
+
+    The draw is ``rng.sample`` over the pairs in
+    ``itertools.combinations`` order, made on pair *indices*: sampling
+    ``range(C)`` picks the same positions as sampling a list of ``C``
+    pairs, and each index maps to its pair in closed form.  So the cost
+    is O(n + sample · log n), not O(n²), and the pairs are exactly those
+    a sample of the listed pairs would give.  When ``sample`` covers
+    every pair, all of them are returned, in order.
     """
     non_landmarks = [v for v in index.graph.vertices() if not index.is_landmark(v)]
-    if len(non_landmarks) < 2:
+    m = len(non_landmarks)
+    if m < 2:
         return []
+    total = m * (m - 1) // 2
+    if total <= sample:
+        return list(itertools.combinations(non_landmarks, 2))
     if rng is None:
         rng = random.Random(seed)
-    all_pairs = list(itertools.combinations(non_landmarks, 2))
-    if len(all_pairs) > sample:
-        return rng.sample(all_pairs, sample)
-    return all_pairs
+
+    def first(i: int) -> int:  # index of the first pair led by i
+        return i * (2 * m - i - 1) // 2
+
+    out = []
+    for x in rng.sample(range(total), sample):
+        i = bisect_right(range(m - 1), x, key=first) - 1
+        out.append((non_landmarks[i], non_landmarks[i + 1 + x - first(i)]))
+    return out
 
 
 def canonical_index(graph: Graph, landmarks: Iterable[int]) -> HCLIndex:

@@ -80,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 INF = math.inf
 
-__all__ = ["QueryPlan", "SearchWorkspace"]
+__all__ = ["QueryPlan", "SearchWorkspace", "min_plus"]
 
 #: Build a memoized ``g_v`` row for an endpoint once it has appeared in
 #: this many plan queries (the row costs ``|L(v)| · k`` float ops and
@@ -180,6 +180,27 @@ def _refine_ws(adj, mask, ws, s, t, upper_bound):
                 total = dist[v] + odist[v]
                 if total < best:
                     best = total
+    return best
+
+
+def min_plus(outer, inner, hwrows) -> float:
+    """The constrained ``QUERY`` kernel over two explicit label rows.
+
+    ``outer`` and ``inner`` are ``(distance, slot)`` rows and ``hwrows``
+    the dense ``δ_H`` rows by slot.  ``outer`` must be the row the plan
+    scans outer (the smaller one, ties keeping ``s``): float addition is
+    not associative, so the choice is part of the bitwise contract.
+    :meth:`QueryPlan.query` runs this over its own rows when the outer
+    endpoint has no memoized g-row, and the shard worker over a slice
+    row and a shipped one.
+    """
+    best = INF
+    for di, si in outer:
+        hwrow = hwrows[si]
+        for dj, sj in inner:
+            d = di + hwrow[sj] + dj
+            if d < best:
+                best = d
     return best
 
 
@@ -661,15 +682,7 @@ class QueryPlan:
                 if d < best:
                     best = d
             return best
-        hwrows = self._hwrows
-        best = INF
-        for di, si in outer:
-            hwrow = hwrows[si]
-            for dj, sj in inner:
-                d = di + hwrow[sj] + dj
-                if d < best:
-                    best = d
-        return best
+        return min_plus(outer, inner, self._hwrows)
 
     def _build_g_row(self, v: int) -> list[float]:
         """``g_v[slot] = min_i d_i + δ_H(r_i, slot)`` over ``L(v)``."""

@@ -39,7 +39,12 @@ import os
 
 INF = math.inf
 
-__all__ = ["VectorBackend", "default_backend", "numpy_available"]
+__all__ = [
+    "VectorBackend",
+    "default_backend",
+    "gather_min_plus",
+    "numpy_available",
+]
 
 #: Target cell count per temporary chunk in the batched kernels; bounds
 #: peak scratch memory at roughly 8–24 MB regardless of batch size.
@@ -69,6 +74,34 @@ def _load_numpy():
 def numpy_available() -> bool:
     """Whether the vectorized backend can run in this process."""
     return _load_numpy() is not None
+
+
+def gather_min_plus(G, outer, starts, lens, slots, dists):
+    """The batched constrained ``QUERY`` reduction over CSR inner rows.
+
+    Entry ``p`` of the result is ``min_i G[outer[p], slots[j]] +
+    dists[j]`` over ``j = starts[p] + i`` for ``i < lens[p]``: the
+    outer endpoint's g-row against its partner's label row.  Every
+    ``lens[p]`` must be positive.  :meth:`VectorBackend.query_pairs`
+    reads the inner rows from the plan; the shard worker reads them from
+    its slice or from rows shipped by another shard.
+    """
+    np = _load_numpy()
+    out = np.empty(len(outer))
+    # Chunked padded gather: one ``min(g_outer[slots] + dists)``
+    # reduction per chunk, entries past a row's length masked to +inf.
+    chunk = max(1, _CHUNK_CELLS // max(1, int(lens.max())))
+    for c_lo in range(0, len(outer), chunk):
+        c_hi = c_lo + chunk
+        c_lens = lens[c_lo:c_hi]
+        pos = np.arange(int(c_lens.max()))
+        valid = pos[None, :] < c_lens[:, None]
+        idx = np.where(valid, starts[c_lo:c_hi, None] + pos[None, :], 0)
+        vals = np.take_along_axis(G[outer[c_lo:c_hi]], slots[idx], axis=1)
+        vals += dists[idx]
+        vals[~valid] = INF
+        out[c_lo:c_hi] = vals.min(axis=1)
+    return out
 
 
 def default_backend() -> str:
@@ -197,27 +230,11 @@ class VectorBackend:
         live = np.nonzero((row_len[outer] > 0) & (row_len[inner] > 0))[0]
         if len(live) == 0:
             return out
-        G = self.g_matrix()
-        offsets = self.offsets
-        slots = self.slots
-        dists = self.dists
-        # Chunked padded gather over the surviving pairs: one
-        # ``min(g_outer[slots] + dists)`` reduction per chunk.
-        lens_all = row_len[inner[live]]
-        lmax_global = int(lens_all.max())
-        chunk = max(1, _CHUNK_CELLS // max(1, lmax_global))
-        for c_lo in range(0, len(live), chunk):
-            sel = live[c_lo : c_lo + chunk]
-            i_v = inner[sel]
-            lens = row_len[i_v]
-            lmax = int(lens.max())
-            pos = np.arange(lmax)
-            valid = pos[None, :] < lens[:, None]
-            idx = np.where(valid, offsets[i_v, None] + pos[None, :], 0)
-            vals = np.take_along_axis(G[outer[sel]], slots[idx], axis=1)
-            vals += dists[idx]
-            vals[~valid] = INF
-            out[sel] = vals.min(axis=1)
+        i_v = inner[live]
+        out[live] = gather_min_plus(
+            self.g_matrix(), outer[live], self.offsets[i_v], row_len[i_v],
+            self.slots, self.dists,
+        )
         return out
 
     def query_many(self, keys) -> list[float]:

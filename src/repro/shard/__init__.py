@@ -9,7 +9,10 @@ with a fault-tolerant scatter-gather coordinator:
 * :mod:`repro.shard.partition` — slicing the plan's canonical arrays
   (:class:`ShardSlice`, :func:`partition_plan`);
 * :mod:`repro.shard.worker` — the worker process: a versioned-state RPC
-  loop whose ``combine`` op is bitwise-equal to the plan's ``QUERY``;
+  loop over packed-array requests whose ``combine`` op runs the plan's
+  own ``QUERY`` kernels on its slice (the vector gather-reduce for
+  batches, the flat kernel for single pairs and without numpy), so it
+  is bitwise-equal to the unsharded plan;
 * :mod:`repro.shard.replication` — per-replica process lifecycle,
   pipes, and circuit breakers;
 * :mod:`repro.shard.coordinator` — :class:`ShardedService`: routing,

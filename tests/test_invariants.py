@@ -1,8 +1,12 @@
 """Tests that the invariant checkers actually detect corruption."""
 
+import itertools
+import random
+import time
+
 import pytest
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_graph
 from repro.core import (
     assert_canonical,
     build_hcl,
@@ -10,8 +14,10 @@ from repro.core import (
     check_cover_property,
     check_highway_exact,
     check_minimality,
+    sample_vertex_pairs,
 )
 from repro.errors import CoverPropertyError
+from repro.graphs import Graph
 
 
 class TestDetection:
@@ -61,3 +67,31 @@ class TestCanonicalIndex:
         index = canonical_index(path_graph(3), [])
         assert index.landmarks == set()
         check_cover_property(index)  # vacuously true
+
+
+class TestSampleVertexPairs:
+    def test_draw_equals_sampling_the_listed_pairs(self):
+        index = build_hcl(random_graph(7, n_lo=25, n_hi=30), [0, 3])
+        non = [v for v in index.graph.vertices() if not index.is_landmark(v)]
+        listed = list(itertools.combinations(non, 2))
+        for seed in range(5):
+            for k in (1, 7, len(listed) - 1):
+                assert sample_vertex_pairs(index, k, seed=seed) == (
+                    random.Random(seed).sample(listed, k)
+                )
+        ours, theirs = random.Random(9), random.Random(9)
+        for _ in range(3):  # an auditor-style shared stream
+            assert sample_vertex_pairs(index, 6, rng=ours) == theirs.sample(
+                listed, 6
+            )
+        assert sample_vertex_pairs(index, len(listed)) == listed
+
+    def test_prompt_and_seeded_on_20k_vertices(self):
+        index = build_hcl(Graph(20000), [])  # ~2e8 candidate pairs
+        start = time.perf_counter()
+        pairs = sample_vertex_pairs(index, sample=200, seed=3)
+        assert time.perf_counter() - start < 2.0
+        assert len(set(pairs)) == 200
+        assert all(0 <= s < t < 20000 for s, t in pairs)
+        assert pairs == sample_vertex_pairs(index, sample=200, seed=3)
+        assert pairs != sample_vertex_pairs(index, sample=200, seed=4)
