@@ -193,15 +193,6 @@ BATCH_SPEEDUP_MIN = 1.5
 BATCH_SWAPS = 4  # σ = 8: 4 promotions + 4 demotions
 BATCH_EDGES = 8
 
-# Attach-time CRC verification (``shm_attach_verify`` vs the unchecked
-# ``shm_attach``).  Attaching happens once per worker per publish — never
-# per query — so the integrity pass is gated *relative to one serving
-# batch*: the full verifying attach must cost < 2% of ``query_batch_plan``
-# in the same run.  Both segments are skipped (with a notice) when shared
-# memory is unavailable.
-SHM_VERIFY_TWIN = ("shm_attach_verify", "query_batch_plan")
-SHM_VERIFY_MAX_FRACTION = 0.02
-
 # Pinned workload: a ~20k-vertex power-law graph, 32 landmarks.
 GRAPH_N, GRAPH_M, GRAPH_SEED = 20000, 3, 11
 LANDMARKS, LANDMARK_SEED = 32, 1
@@ -459,29 +450,6 @@ def run_workload() -> dict[str, float]:
                 pdist(s, t, backend="vector")
             record("distance_vec", time.perf_counter() - start)
 
-    # Attach-time integrity: one unchecked attach vs one verifying
-    # attach of the same live segment (header + five CRC32 passes over
-    # the canonical arrays).  Segment creation stays untimed — it is the
-    # plan_compile-style amortized cost.
-    from repro.core.shm import shm_available
-
-    if shm_available():
-        shared = plan.shared_buffers()
-        for _ in range(REPS):
-            start = time.perf_counter()
-            attachment = shared.ref.attach(verify=False)
-            attachment.close()
-            record("shm_attach", time.perf_counter() - start)
-            start = time.perf_counter()
-            attachment = shared.ref.attach()  # verify=True: full CRC pass
-            attachment.close()
-            record("shm_attach_verify", time.perf_counter() - start)
-    else:
-        print(
-            "[bench_obs] shared memory unavailable: skipping shm_attach / "
-            "shm_attach_verify segments and the CRC gate"
-        )
-
     # Sharded scatter-gather over the same plan and pairs; spawn/load and
     # one warmup batch (worker numpy import and slice g-matrices) stay
     # untimed, like vec_build for the in-process vector path.
@@ -594,17 +562,6 @@ def check(baseline: dict, current: dict, tol_reg: float, tol_over: float) -> int
                 f"[bench_obs] {name}: {speedup:.2f}x over {twins[name]} "
                 f"(relative gate, >= {minimum:.2f}x) {verdict}"
             )
-    name, twin = SHM_VERIFY_TWIN
-    if name in current["segments"] and twin in current["segments"]:
-        fraction = current["segments"][name] / current["segments"][twin]
-        verdict = "ok"
-        if fraction > SHM_VERIFY_MAX_FRACTION:
-            verdict = f"TOO EXPENSIVE (> {SHM_VERIFY_MAX_FRACTION:.0%})"
-            failures.append(name)
-        print(
-            f"[bench_obs] {name}: {fraction:.4f} of {twin} "
-            f"(CRC gate, <= {SHM_VERIFY_MAX_FRACTION:.0%}) {verdict}"
-        )
     if failures:
         print(f"[bench_obs] FAILED segments: {', '.join(failures)}")
         return 1
@@ -647,13 +604,6 @@ def main(argv=None) -> int:
                 f"[bench_obs] relative speedup {name}: {speedup:.2f}x over "
                 f"{twins[name]}"
             )
-    if "shm_attach_verify" in segments:
-        fraction = segments["shm_attach_verify"] / segments["query_batch_plan"]
-        print(
-            f"[bench_obs] verifying attach: "
-            f"{segments['shm_attach_verify'] * 1000:.2f}ms "
-            f"({fraction:.4f} of one query_batch_plan batch)"
-        )
 
     status = 0
     if args.write_baseline:

@@ -40,7 +40,6 @@ from .metrics import (
 from .multicategory import MultiCategoryHCL
 from .plan import QueryPlan, SearchWorkspace
 from .planvec import VectorBackend, default_backend, numpy_available
-from .shm import SharedPlanBuffers, SharedPlanRef, shm_available
 from .paths import (
     highway_path,
     label_path,
@@ -82,9 +81,6 @@ __all__ = [
     "VectorBackend",
     "default_backend",
     "numpy_available",
-    "SharedPlanBuffers",
-    "SharedPlanRef",
-    "shm_available",
     "PlanEpoch",
     "PlanRegistry",
     "build_hcl",

@@ -33,15 +33,13 @@ The auditor never raises from :meth:`~IndexAuditor.tick` — it is designed
 to run unattended; outcomes land in :class:`AuditFinding` records, the
 metrics registry, and the :meth:`~IndexAuditor.summary` health report.
 
-:class:`PlanAuditor` is the same quarantine-and-repair shape one layer
-up: where :class:`IndexAuditor` grades the *dict labeling* against the
-graph, :class:`PlanAuditor` grades the **compiled plan** (and its
-shared-memory segment) against the dict labeling — the authoritative
-store the plan was compiled from.  Each tick decodes a sample of plan
-rows back to ``{landmark: distance}`` and compares them bitwise with
-``labeling.label(v)``, spot-checks ``δ_H`` cells, and re-verifies the
-owner's segment checksums; any mismatch quarantines the bad artifact and
-*republishes* — a fresh epoch via
+:class:`PlanAuditor` is the same check-and-repair shape one layer up:
+where :class:`IndexAuditor` grades the *dict labeling* against the
+graph, :class:`PlanAuditor` grades the **compiled plan** against the
+dict labeling — the authoritative store the plan was compiled from.
+Each tick decodes a sample of plan rows back to ``{landmark: distance}``
+and compares them bitwise with ``labeling.label(v)`` and spot-checks
+``δ_H`` cells; any mismatch *republishes* — a fresh epoch via
 :meth:`~repro.core.epoch.PlanRegistry.republish` in epoch mode, a
 dropped cached plan plus a version bump otherwise — because the plan is
 derived state: the repair is recompilation, never patching.
@@ -356,21 +354,19 @@ class PlanAuditReport:
     rows_checked: int
     hw_cells_checked: int
     mismatches: int
-    segment_ok: bool | None  # None = no owned segment to verify
     republished: bool
 
     @property
     def clean(self) -> bool:
-        return self.mismatches == 0 and self.segment_ok is not False
+        return self.mismatches == 0
 
 
 class PlanAuditor:
     """Cross-checks the compiled plan against the authoritative labeling.
 
-    The compiled :class:`~repro.core.plan.QueryPlan` (and the
-    shared-memory segment the fleet serves it from) is *derived* state:
-    every cell has a ground truth in the dict labeling / highway it was
-    compiled from.  Each :meth:`tick` therefore
+    The compiled :class:`~repro.core.plan.QueryPlan` is *derived*
+    state: every cell has a ground truth in the dict labeling / highway
+    it was compiled from.  Each :meth:`tick` therefore
 
     * decodes ``rows_per_tick`` sampled vertices' plan rows back to
       ``{landmark: distance}`` and compares **bitwise** with
@@ -378,10 +374,6 @@ class PlanAuditor:
       ``offsets`` cannot hide behind a tolerance;
     * spot-checks ``hw_cells_per_tick`` dense ``δ_H`` cells against
       ``highway.distance``;
-    * re-verifies the plan's owned shared segment checksums
-      (:meth:`~repro.core.shm.SharedPlanBuffers.verify`), quarantining
-      the segment on mismatch (the next ``shared_buffers()`` call
-      republishes a fresh one from the canonical arrays);
     * on any row/cell mismatch, **republishes**: a forced fresh epoch
       (:meth:`~repro.core.epoch.PlanRegistry.republish`) in epoch mode,
       or dropping the cached plan + a version bump otherwise — repair by
@@ -410,7 +402,6 @@ class PlanAuditor:
         self.ticks = 0
         self.rows_checked = 0
         self.mismatches_found = 0
-        self.segment_failures = 0
         self.republishes = 0
 
     def _current_plan(self):
@@ -436,7 +427,7 @@ class PlanAuditor:
         index = self._dyn.index
         plan = self._current_plan()
         if plan is None:
-            return PlanAuditReport(self.ticks, 0, 0, 0, None, False)
+            return PlanAuditReport(self.ticks, 0, 0, 0, False)
 
         n, k, ids, offsets, slots, dists, hw = plan.canonical_arrays()
         label = index.labeling.label
@@ -462,17 +453,6 @@ class PlanAuditor:
             if hw[i * k + j] != distance(ids[i], ids[j]):
                 mismatches += 1
 
-        segment_ok = None
-        shm = plan._shm
-        if shm is not None and not shm.unlinked:
-            segment_ok = shm.verify()
-            if not segment_ok:
-                self.segment_failures += 1
-                if self._registry is not None:
-                    self._registry.counter(
-                        "plan_audit.segment_failures"
-                    ).inc()
-
         republished = False
         if mismatches:
             self.mismatches_found += mismatches
@@ -487,9 +467,7 @@ class PlanAuditor:
                     self._registry.counter("plan_audit.republishes").inc()
         if self._registry is not None:
             self._registry.counter("plan_audit.rows_checked").inc(rows)
-        return PlanAuditReport(
-            self.ticks, rows, cells, mismatches, segment_ok, republished
-        )
+        return PlanAuditReport(self.ticks, rows, cells, mismatches, republished)
 
     def _republish(self, index) -> bool:
         """Recompile-and-replace the corrupt plan; never raises."""
@@ -512,7 +490,6 @@ class PlanAuditor:
             "ticks": self.ticks,
             "rows_checked": self.rows_checked,
             "mismatches_found": self.mismatches_found,
-            "segment_failures": self.segment_failures,
             "republishes": self.republishes,
         }
 

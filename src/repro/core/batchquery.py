@@ -28,7 +28,9 @@ the float operations performed for any pair are associated exactly as in
 the serial routines, so ``query_batch`` agrees bitwise with a per-pair
 loop.  Large batches can additionally fan chunks of distinct pairs out over
 a ``multiprocessing`` pool; small batches fall back to the serial path
-because pool setup would dominate.
+because pool setup would dominate.  A plan-backed pool receives the plan
+through the pool initializer's arguments: fork children inherit the
+parent's object, spawn children unpickle its canonical arrays.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ import multiprocessing
 from typing import Iterable, Sequence
 
 from ..budget import Budget
-from ..errors import (
-    DeadlineExceeded,
-    PlanIntegrityError,
-    RequestError,
-    VertexError,
-)
+from ..errors import DeadlineExceeded, RequestError, VertexError
 from ..graphs.csr import CSRGraph
 from ..graphs.traversal import bounded_bidirectional_distance_masked
 from .index import HCLIndex
@@ -405,79 +402,15 @@ class _PlanBatchSolver:
 _POOL_SOLVER: _BatchSolver | _PlanBatchSolver | None = None
 _POOL_EXACT = False
 
-#: Parent-side transport tally: how many pool dispatches shipped the plan
-#: as a shared-memory ref versus pickled canonical arrays.  Tests assert
-#: ``pickle == 0`` for plan-backed fan-out when shared memory works.
-TRANSPORT_COUNTS = {"shm": 0, "pickle": 0}
-
-#: Worker-side attachment memo keyed by ``(segment name, plan version)``.
-#: Without it every pool dispatch re-attached and re-boxed the canonical
-#: arrays even when the plan had not changed; with it a worker resolves a
-#: repeat ref to the already-built plan in O(1).  Capacity one: a worker
-#: serves one plan at a time, and dropping the old entry detaches its
-#: mapping.  The parent pre-seeds its own copy before forking, so
-#: fork-started children inherit the built plan and perform zero attach
-#: work at all.
-_ATTACH_CACHE: dict[tuple[str, int], tuple] = {}
-
-
-def _seed_attach_cache(ref, plan: QueryPlan) -> None:
-    """Parent-side: pre-populate the memo fork children will inherit."""
-    _ATTACH_CACHE.clear()
-    _ATTACH_CACHE[(ref.name, ref.plan_version)] = (None, plan)
-
-
-def _attached_plan_solver(ref, csr, backend: str) -> "_PlanBatchSolver":
-    """Resolve a :class:`~repro.core.shm.SharedPlanRef` to a solver.
-
-    Memoized per worker process: a cache hit (same segment, same plan
-    version) reuses the plan built on first attach; a miss attaches the
-    segment and rebuilds, evicting the previous plan's entry.
-    """
-    key = (ref.name, ref.plan_version)
-    entry = _ATTACH_CACHE.get(key)
-    if entry is None:
-        attachment = ref.attach()
-        plan = QueryPlan(*attachment.arrays())
-        _ATTACH_CACHE.clear()
-        entry = _ATTACH_CACHE[key] = (attachment, plan)
-    return _PlanBatchSolver(entry[1], csr, backend)
-
-
-#: Worker-side: the exception the pool initializer swallowed, if any.  A
-#: ``multiprocessing.Pool`` initializer that *raises* kills the worker,
-#: which the pool silently respawns — and the respawn raises again,
-#: looping forever without ever failing the batch.  The initializer
-#: therefore stores attach failures here and the first chunk call raises
-#: them, which propagates cleanly through ``pool.map`` to the parent.
-_POOL_INIT_ERROR: Exception | None = None
-
 
 def _init_query_pool(
-    highway,
-    labeling,
-    csr,
-    row_threshold,
-    exact,
-    plan=None,
-    plan_ref=None,
-    backend="flat",
+    highway, labeling, csr, row_threshold, exact, plan=None, backend="flat"
 ) -> None:
-    global _POOL_SOLVER, _POOL_EXACT, _POOL_INIT_ERROR
-    _POOL_INIT_ERROR = None
-    _POOL_SOLVER = None
-    if plan_ref is not None:
-        # Zero-copy transport: the plan's canonical arrays live in a
-        # named shared-memory segment; only the tiny ref was pickled.
-        # Attach-time CRC verification happens inside ``ref.attach()``;
-        # a corrupt or vanished segment must not raise *here* (see
-        # ``_POOL_INIT_ERROR``).
-        try:
-            _POOL_SOLVER = _attached_plan_solver(plan_ref, csr, backend)
-        except (PlanIntegrityError, FileNotFoundError, OSError) as exc:
-            _POOL_INIT_ERROR = exc
-    elif plan is not None:
-        # The plan arrives rebuilt from its canonical arrays; the CSR
+    global _POOL_SOLVER, _POOL_EXACT
+    if plan is not None:
+        # The plan replaces the dict structures wholesale: fork children
+        # inherit the parent's object, spawn children unpickle it from
+        # its canonical arrays (``QueryPlan.__reduce__``).  The CSR
         # snapshot (when present) backs its refinement adjacency.
         _POOL_SOLVER = _PlanBatchSolver(plan, csr, backend)
     else:
@@ -486,8 +419,6 @@ def _init_query_pool(
 
 
 def _pool_solve_chunk(keys: list[tuple[int, int]]) -> list[float]:
-    if _POOL_SOLVER is None:
-        raise _POOL_INIT_ERROR or RuntimeError("pool initializer did not run")
     return _POOL_SOLVER.solve(keys, _POOL_EXACT)
 
 
@@ -650,74 +581,22 @@ def query_batch(
                 for i in range(0, len(distinct), chunksize)
             ]
             if plan_obj is not None:
-                # The plan replaces the dict structures wholesale.
-                # Preferred transport: its canonical arrays in a named
-                # shared-memory segment, with only the tiny ref pickled
-                # (fork children skip even the attach — the parent seeds
-                # the memo they inherit).  Pickling the arrays remains
-                # the fallback when shared memory is unavailable.
-                shared = plan_obj.shared_buffers()
-                if shared is not None:
-                    TRANSPORT_COUNTS["shm"] += 1
-                    _seed_attach_cache(shared.ref, plan_obj)
-                    initargs = (
-                        None, None, csr, row_threshold, exact,
-                        None, shared.ref, backend,
-                    )
-                else:
-                    TRANSPORT_COUNTS["pickle"] += 1
-                    initargs = (
-                        None, None, csr, row_threshold, exact,
-                        plan_obj, None, backend,
-                    )
+                initargs = (
+                    None, None, csr, row_threshold, exact, plan_obj, backend
+                )
             else:
                 initargs = (
-                    index.highway,
-                    index.labeling,
-                    csr,
-                    row_threshold,
-                    exact,
-                    None,
-                    None,
-                    backend,
+                    index.highway, index.labeling, csr, row_threshold, exact
                 )
-            ctx = _pool_context()
-            try:
-                with ctx.Pool(
-                    pool_size,
-                    initializer=_init_query_pool,
-                    initargs=initargs,
-                ) as pool:
-                    values = [
-                        v for chunk in pool.map(_pool_solve_chunk, chunks)
-                        for v in chunk
-                    ]
-            except PlanIntegrityError as exc:
-                # A worker's attach-time CRC check caught segment
-                # corruption.  Quarantine the name parent-side (the
-                # owner republishes on its next shared_buffers call)
-                # and complete the batch over the pickle transport —
-                # the canonical arrays live in heap memory, unaffected.
-                if plan_obj is None:
-                    raise
-                from .shm import quarantine as _quarantine_segment
-
-                if exc.segment:
-                    _quarantine_segment(exc.segment)
-                TRANSPORT_COUNTS["pickle"] += 1
-                initargs = (
-                    None, None, csr, row_threshold, exact,
-                    plan_obj, None, backend,
-                )
-                with ctx.Pool(
-                    pool_size,
-                    initializer=_init_query_pool,
-                    initargs=initargs,
-                ) as pool:
-                    values = [
-                        v for chunk in pool.map(_pool_solve_chunk, chunks)
-                        for v in chunk
-                    ]
+            with _pool_context().Pool(
+                pool_size,
+                initializer=_init_query_pool,
+                initargs=initargs,
+            ) as pool:
+                values = [
+                    v for chunk in pool.map(_pool_solve_chunk, chunks)
+                    for v in chunk
+                ]
 
         return [values[order[key]] for key in keys]
     finally:

@@ -389,12 +389,11 @@ class PlanRegistry:
     def republish(self) -> PlanEpoch | None:
         """Force a full recompile and publish a fresh epoch, stale or not.
 
-        The integrity remedy (:class:`~repro.core.auditor.PlanAuditor`,
-        :mod:`repro.core.shm` quarantine): when a plan row or its shared
-        segment is found corrupt, the fix is a brand-new epoch compiled
-        from the authoritative dict labeling — new plan version, new
-        segment name — even though the index version never moved, so the
-        staleness check in :meth:`refresh` would wave it through.
+        The integrity remedy (:class:`~repro.core.auditor.PlanAuditor`):
+        when a plan row or ``δ_H`` cell is found corrupt, the fix is a
+        brand-new epoch compiled from the authoritative dict labeling,
+        even though the index version never moved, so the staleness
+        check in :meth:`refresh` would wave it through.
         Returns the new head (``None`` before the first epoch exists:
         the next reader compiles fresh anyway).
         """
@@ -510,13 +509,6 @@ class PlanRegistry:
 
     def _drop_locked(self, epoch: PlanEpoch) -> None:
         self._live.pop(epoch.epoch_id, None)
-        # The retired plan's shared-memory segment (if it ever created
-        # one for pool/shard fan-out) is unlinked here, at the last
-        # possible reader's exit — the refcounted end of the epoch's
-        # lifecycle.  Idempotent and crash-safe: the owner-side guard in
-        # repro.core.shm makes a second unlink a no-op, and an atexit
-        # hook sweeps segments whose workers died before draining.
-        epoch.plan.release_shared()
 
     # ------------------------------------------------------------------
     # Introspection

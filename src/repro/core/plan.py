@@ -61,7 +61,6 @@ recompiles lazily — the authoritative dicts never wait on the plan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from heapq import heappop, heappush
@@ -92,13 +91,6 @@ ROW_HOT_THRESHOLD = 4
 #: counts are dropped, so a long-lived plan serving an adversarially wide
 #: endpoint distribution stays O(cap · k) instead of O(n · k).
 G_ROW_CACHE_CAP = 8192
-
-#: Process-wide monotone plan ids.  A version never repeats within a
-#: process, so ``(segment name, plan_version)`` is a sound memoization
-#: key for per-worker shared-memory attachments: a recompiled plan gets
-#: a fresh version (and a fresh segment) and can never be served from a
-#: stale cached attachment.
-_PLAN_VERSIONS = itertools.count(1)
 
 
 class SearchWorkspace:
@@ -232,10 +224,8 @@ class QueryPlan:
         "_ws",
         "_g_rows",
         "_g_freq",
-        # optional accelerated backends (lazy, never pickled)
-        "plan_version",
+        # optional accelerated backend (lazy, never pickled)
         "_vec",
-        "_shm",
         # validity stamp (source objects + their revisions)
         "_graph",
         "_labeling",
@@ -258,9 +248,7 @@ class QueryPlan:
         self._labeling = None
         self._highway = None
         self._stamp = None
-        self.plan_version = next(_PLAN_VERSIONS)
         self._vec = None
-        self._shm = None
         self._build_views()
 
     def _build_views(self) -> None:
@@ -428,9 +416,7 @@ class QueryPlan:
         plan._ws = None
         plan._g_rows = {}
         plan._g_freq = {}
-        plan.plan_version = next(_PLAN_VERSIONS)
         plan._vec = None
-        plan._shm = None
         plan._graph = graph
         plan._labeling = labeling
         plan._highway = highway
@@ -453,8 +439,7 @@ class QueryPlan:
         slot_of = {r: i for i, r in enumerate(landmark_ids)}
 
         # "q", not "l": C long is 4 bytes on LLP64 (64-bit Windows),
-        # where cumulative label offsets would wrap past 2^31 entries —
-        # and the shared-memory layout assumes uniform 8-byte cells.
+        # where cumulative label offsets would wrap past 2^31 entries.
         offsets = array("q", [0])
         slots = array("q")
         dists = array("d")
@@ -524,7 +509,7 @@ class QueryPlan:
             self._graph = graph
 
     # ------------------------------------------------------------------
-    # Accelerated backends (vectorized kernel, shared-memory transport)
+    # Accelerated backend (vectorized kernel)
     # ------------------------------------------------------------------
     def vector_backend(self):
         """The plan's numpy min-plus backend, or ``None`` without numpy.
@@ -541,56 +526,6 @@ class QueryPlan:
                 return None
             vec = self._vec = VectorBackend(self.canonical_arrays())
         return vec
-
-    def shared_buffers(self):
-        """This plan's owned shared-memory segment, or ``None``.
-
-        Created on first use (one copy of the canonical arrays into a
-        named segment), cached thereafter; returns ``None`` when shared
-        memory is unavailable or the segment has already been unlinked —
-        callers fall back to pickling the canonical arrays.
-
-        A cached segment that was **quarantined** (failed a CRC check,
-        :mod:`repro.core.shm`) is unlinked and replaced with a fresh
-        segment republished from the canonical arrays — those live in
-        ordinary heap memory and are unaffected by segment corruption.
-        """
-        shm = self._shm
-        if shm is not None and not shm.unlinked and shm.quarantined:
-            from .shm import COUNTS
-
-            try:
-                shm.unlink()
-            except Exception:  # pragma: no cover - teardown races
-                pass
-            self._shm = shm = None
-            COUNTS["republished"] += 1
-        if shm is None:
-            from .shm import SharedPlanBuffers
-
-            shm = SharedPlanBuffers.create(
-                self.canonical_arrays(), self.plan_version
-            )
-            if shm is None:
-                return None
-            self._shm = shm
-        elif shm.unlinked:
-            return None
-        return shm
-
-    def release_shared(self) -> None:
-        """Unlink the owned segment, if any (idempotent, never raises).
-
-        Called by :meth:`repro.core.epoch.PlanRegistry._drop_locked` when
-        the owning epoch retires and drains; attached workers keep their
-        existing mappings until they detach.
-        """
-        shm = self._shm
-        if shm is not None:
-            try:
-                shm.unlink()
-            except Exception:  # pragma: no cover - teardown races
-                pass
 
     # ------------------------------------------------------------------
     # Pickling (canonical arrays only; views are rebuilt on arrival)

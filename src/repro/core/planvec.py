@@ -5,9 +5,8 @@ label rows and the dense ``δ_H`` table with Python loops — every cell
 access boxes a float.  The landmark-constrained upper bound is exactly a
 min-plus product of two label rows against ``δ_H``, so with numpy the
 whole batch collapses into a handful of array reductions over *the same
-buffers*, attached zero-copy with ``numpy.frombuffer`` (they may live in
-a ``multiprocessing.shared_memory`` segment — see :mod:`repro.core.shm`;
-the buffer-backed sparse-kernel idiom of APGL's ``SparseUtilsCython``).
+buffers*, wrapped zero-copy with ``numpy.frombuffer`` (the buffer-backed
+sparse-kernel idiom of APGL's ``SparseUtilsCython``).
 
 Bitwise equality with the flat kernel (and hence the dict oracle) rests
 on the same two facts the flat g-row fast path documents:

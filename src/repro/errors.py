@@ -159,33 +159,6 @@ class ShardUnavailable(ReproError):
         self.shard = shard
 
 
-class PlanIntegrityError(ReproError):
-    """A shared-memory plan segment failed its CRC32 integrity check.
-
-    The segment's per-array checksums (written at creation, mirroring the
-    WAL record format) did not match its contents at attach or re-verify
-    time — a flipped byte anywhere in the label arrays would otherwise
-    become a silently wrong distance.  The segment is quarantined (never
-    attached again by this process) and callers fall back to the pickle
-    transport; the owner republishes a fresh segment from the canonical
-    arrays, which live in ordinary heap memory and are unaffected.
-    ``segment`` names the offending shared-memory segment when known.
-    """
-
-    retriable = True
-
-    def __init__(self, message: str, segment: str | None = None):
-        super().__init__(message)
-        self.segment = segment
-
-    def __reduce__(self):
-        # Keep ``segment`` across process boundaries: a pool worker's
-        # attach failure must tell the parent *which* segment to
-        # quarantine, and default exception pickling replays only
-        # ``args``.
-        return (type(self), (self.args[0], self.segment))
-
-
 class AuditError(ReproError):
     """The background auditor could not repair a corrupted label row.
 

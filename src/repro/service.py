@@ -29,6 +29,7 @@ the test suite.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 import warnings
@@ -44,8 +45,6 @@ from .core.cache import CachedQueryEngine
 from .core.dynhcl import DynamicHCL
 from .core.invariants import find_cover_violations, sample_vertex_pairs
 from .core.planvec import default_backend
-from .core.shm import COUNTS as SHM_COUNTS
-from .core.shm import quarantined_segments, shm_available
 from .core.serialization import (
     load_checkpoint,
     load_index_binary,
@@ -298,7 +297,7 @@ class HCLService:
             if auditor._registry is None:
                 auditor._registry = self._registry
         self.auditor = auditor
-        # Lazily-built plan/shm cross-checker (see plan_audit_tick):
+        # Lazily-built plan cross-checker (see plan_audit_tick):
         # only deployments that tick it pay for it.
         self._plan_auditor = None
 
@@ -439,7 +438,23 @@ class HCLService:
                     )
                 workers = min(workers, os.cpu_count() or 1)
             n = self._dyn.index.graph.n
-            for i, (s, t) in enumerate(request.pairs):
+            for i, pair in enumerate(request.pairs):
+                try:
+                    s, t = pair
+                except (TypeError, ValueError):
+                    raise RequestError(
+                        f"pair {i} = {pair!r} must hold exactly two ids"
+                    ) from None
+                if type(s) is not int or type(t) is not int:
+                    # Integer-like ids (numpy integers) pass; floats,
+                    # strings and None do not — the cache would match
+                    # (1.0, 2) to a cached (1, 2).
+                    try:
+                        operator.index(s), operator.index(t)
+                    except TypeError:
+                        raise VertexError(
+                            f"pair {i} = {pair!r} holds a non-integer id"
+                        ) from None
                 if not (0 <= s < n and 0 <= t < n):
                     raise VertexError(
                         f"pair {i} = ({s}, {t}) out of range [0, {n})"
@@ -910,7 +925,7 @@ class HCLService:
 
     @property
     def plan_auditor(self) -> PlanAuditor:
-        """The plan/shm cross-checker (built on first use)."""
+        """The plan cross-checker (built on first use)."""
         if self._plan_auditor is None:
             self._plan_auditor = PlanAuditor(
                 self._dyn, registry=self._registry
@@ -921,10 +936,9 @@ class HCLService:
         """Run one increment of the plan-integrity auditor.
 
         The derived-state counterpart of :meth:`audit_tick`: samples
-        compiled-plan rows (and ``δ_H`` cells) and compares them bitwise
-        against the authoritative dict labeling, re-verifies the plan's
-        shared-memory segment checksums, and republishes a fresh plan on
-        any mismatch.  Returns the
+        compiled-plan rows (and ``δ_H`` cells), compares them bitwise
+        against the authoritative dict labeling, and republishes a fresh
+        plan on any mismatch.  Returns the
         :class:`~repro.core.auditor.PlanAuditReport`; cumulative state
         surfaces in :meth:`health` under ``plan.integrity``.  Also the
         natural ``integrity_check`` callable for a
@@ -981,17 +995,12 @@ class HCLService:
                 "mode": self._dyn.index.plan_mode,
                 "compiled": self._dyn.index.plan() is not None,
                 "backend": default_backend(),
-                "shm": shm_available(),
                 "epochs": (
                     self._dyn.index._plan_registry.summary()
                     if self._dyn.index._plan_registry is not None
                     else None
                 ),
                 "integrity": {
-                    "quarantined_segments": quarantined_segments(),
-                    "verified": SHM_COUNTS["verified"],
-                    "failures": SHM_COUNTS["integrity_failures"],
-                    "republished": SHM_COUNTS["republished"],
                     "auditor": (
                         self._plan_auditor.summary()
                         if self._plan_auditor is not None

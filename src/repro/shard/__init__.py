@@ -25,8 +25,8 @@ with a fault-tolerant scatter-gather coordinator:
   hysteresis-filtered verdict rolled into fleet ``health()``.
 
 ``python -m repro.shard`` runs a seeded shard-fault sweep (the CI chaos
-lane's fleet exercise, including supervisor convergence and segment
-corruption) and writes the fleet-health JSON artifact.
+lane's fleet exercise, including supervisor convergence) and writes the
+fleet-health JSON artifact.
 """
 
 from .coordinator import ShardedService

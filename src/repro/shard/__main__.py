@@ -1,16 +1,11 @@
 """Seeded shard-fault sweep: the CI chaos lane's fleet exercise.
 
 Builds a pinned HCL instance, stands up a sharded fleet, and for each
-seed injects one fault — a worker fault (kill / hang / slow, random
-shard and replica) mid-``query_batch``, or a byte-flipped shared-memory
-segment (``corrupt``) the workers must detect at attach time — asserting
-the robustness contract:
+seed injects one worker fault (kill / hang / slow, random shard and
+replica) mid-``query_batch``, asserting the robustness contract:
 
 * every answer is bitwise-equal to the unsharded plan, or a
   budget-expired :class:`~repro.budget.DegradedResult`;
-* a corrupted segment is never served: the CRC check catches it on
-  attach and the fleet stages over the pickle transport instead
-  (``fleet.integrity_fallbacks`` ticks);
 * the coordinator never hangs (each batch is wall-clock bounded);
 * after the batch, a **supervisor convergence storm** terminates random
   replicas and a :class:`~repro.shard.supervisor.FleetSupervisor` must
@@ -39,10 +34,9 @@ from .coordinator import ShardedService
 from .supervisor import FleetSupervisor
 from ..budget import Budget, DegradedResult
 from ..core import build_hcl, select_landmarks
-from ..core.shm import quarantined_segments
 from ..graphs import barabasi_albert
 from ..retry import BackoffPolicy
-from ..testing import ShardFault, corrupt_segment, inject_shard_fault
+from ..testing import ShardFault, inject_shard_fault
 
 #: A hung worker must outlast the RPC timeout to count as hung.
 RPC_TIMEOUT = 0.25
@@ -53,11 +47,6 @@ SLOW_SECONDS = 0.05
 BATCH_DEADLINE = 30.0
 #: Bounded-convergence budget for the post-batch supervisor storm.
 MAX_CONVERGENCE_TICKS = 40
-
-#: Staging a corrupted segment retries each replica over the pickle
-#: transport; give the load RPCs room (the query RPC timeout above is
-#: deliberately tight to catch hangs).
-CORRUPT_RPC_TIMEOUT = 1.0
 
 
 def _converge_after_storm(svc, srng, outcome) -> bool:
@@ -106,52 +95,36 @@ def run_sweep(args) -> dict:
     oracle = [plan.query(s, t) for s, t in pairs]
 
     kinds = ["kill", "hang", "slow"]
-    if args.corruption:
-        kinds.append("corrupt")
     outcomes = []
     failures = 0
     health = {}
     for seed in range(args.seeds):
         srng = random.Random(seed)
         kind = kinds[seed % len(kinds)]
-        outcome = {"seed": seed, "fault": {"kind": kind}}
-        if kind == "corrupt":
-            # Byte-flip the live segment before the fleet attaches it:
-            # every worker's CRC check must refuse it, and staging must
-            # complete over pickle slices from the clean heap arrays.
-            fault = None
-            rpc_timeout = CORRUPT_RPC_TIMEOUT
-            shared = plan.shared_buffers()
-            if shared is None:
-                print(f"seed {seed}: corrupt skipped (no shared memory)")
-                outcome.update({"ok": True, "skipped": "no shared memory"})
-                outcomes.append(outcome)
-                continue
-            corrupt_segment(shared.ref, offset=srng.randrange(256))
-        else:
-            # Replicas see only a handful of data RPCs per batch; firing
-            # on the victim's first one lands the fault mid-batch.
-            rpc_timeout = RPC_TIMEOUT
-            fault = ShardFault(
-                kind=kind,
-                shard=srng.randrange(args.shards),
-                replica=srng.randrange(args.rf),
-                requests=(0,),
-                seconds=HANG_SECONDS if kind == "hang" else SLOW_SECONDS,
-            )
-            outcome["fault"].update(
-                {
-                    "shard": fault.shard,
-                    "replica": fault.replica,
-                    "request": fault.requests[0],
-                }
-            )
-        with inject_shard_fault(fault) if fault else _noop():
+        # Replicas see only a handful of data RPCs per batch; firing on
+        # the victim's first one lands the fault mid-batch.
+        fault = ShardFault(
+            kind=kind,
+            shard=srng.randrange(args.shards),
+            replica=srng.randrange(args.rf),
+            requests=(0,),
+            seconds=HANG_SECONDS if kind == "hang" else SLOW_SECONDS,
+        )
+        outcome = {
+            "seed": seed,
+            "fault": {
+                "kind": kind,
+                "shard": fault.shard,
+                "replica": fault.replica,
+                "request": fault.requests[0],
+            },
+        }
+        with inject_shard_fault(fault):
             svc = ShardedService(
                 plan,
                 nshards=args.shards,
                 replication_factor=args.rf,
-                rpc_timeout=rpc_timeout,
+                rpc_timeout=RPC_TIMEOUT,
             )
             try:
                 start = time.monotonic()
@@ -181,13 +154,6 @@ def run_sweep(args) -> dict:
                     }
                 )
                 ok = not (wrong or hung)
-                if kind == "corrupt":
-                    fallbacks = svc.registry.counter(
-                        "fleet.integrity_fallbacks"
-                    ).value
-                    outcome["integrity_fallbacks"] = fallbacks
-                    outcome["quarantined"] = list(quarantined_segments())
-                    ok = ok and fallbacks >= 1 and degraded == 0
                 if args.converge:
                     ok = _converge_after_storm(svc, srng, outcome) and ok
                 outcome["ok"] = ok
@@ -212,7 +178,6 @@ def run_sweep(args) -> dict:
             "n": args.n,
             "landmarks": args.landmarks,
             "pairs": args.pairs,
-            "corruption": args.corruption,
             "converge": args.converge,
             "max_convergence_ticks": MAX_CONVERGENCE_TICKS,
         },
@@ -220,12 +185,6 @@ def run_sweep(args) -> dict:
         "failures": failures,
         "final_health": health,
     }
-
-
-def _noop():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def main(argv=None) -> int:
@@ -236,11 +195,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=600)
     parser.add_argument("--landmarks", type=int, default=12)
     parser.add_argument("--pairs", type=int, default=400)
-    parser.add_argument(
-        "--corruption",
-        action="store_true",
-        help="rotate a byte-flipped shm segment into the fault schedule",
-    )
     parser.add_argument(
         "--converge",
         action="store_true",

@@ -40,10 +40,11 @@ keep answering while workers die:
   never hangs: every wait is bounded by ``rpc_timeout``, ``max_attempts``
   and the budget.
 * **Atomic epoch cutover.**  :meth:`publish` stages the next plan's
-  slices on every shard under a fresh version number while in-flight
-  batches keep reading the old one (workers hold ``{version: slice}``),
-  then flips the coordinator's version pointer in one assignment and
-  garbage-collects the old version.  Attached to a
+  slices on every shard under a fresh version number, pickled over each
+  worker's pipe, while in-flight batches keep reading the old one
+  (workers hold ``{version: slice}``), then flips the coordinator's
+  version pointer in one assignment and garbage-collects the old
+  version.  Attached to a
   :class:`~repro.core.epoch.PlanRegistry`, the registry's publish
   listener marks the fleet stale and the next request refreshes —
   readers are always bitwise-consistent with *some* published epoch,
@@ -359,47 +360,18 @@ class ShardedService:
         raised, leaving the old version serving untouched.
         """
         part = partition_plan(plan, self.nshards)
-        # Transport tally: "shm" broadcasts ship only ShardSliceRefs
-        # (the workers attach the plan's segment by name), "pickle"
-        # broadcasts ship the label arrays over every worker pipe.
-        self.registry.counter(f"fleet.transport.{part.transport}").inc()
         with self._lock:
             version = self._version + 1
         load_timeout = self.rpc_timeout * _LOAD_TIMEOUT_FACTOR
 
         def _stage(shard_id: int) -> bool:
             ok = False
+            payload = (version, part.slices[shard_id])
             for replica in self._sets[shard_id].replicas:
                 if not replica.alive:
                     continue
-                payload = part.slices[shard_id]
                 try:
-                    replica.call("load", (version, payload), load_timeout)
-                    ok = True
-                    continue
-                except ReplicaCallError as exc:
-                    if not str(exc).startswith("PlanIntegrityError"):
-                        replica.mark_dead()
-                        self._scount(shard_id, "stage_failures")
-                        continue
-                    # The worker's attach-time CRC check caught segment
-                    # corruption.  The worker is *healthy* — do not kill
-                    # it; quarantine the segment coordinator-side (so
-                    # the owner republishes) and re-stage this shard
-                    # over the pickle transport from the canonical
-                    # arrays, which corruption cannot touch.
-                    self._quarantine_from_error(str(exc))
-                    self.registry.counter("fleet.integrity_fallbacks").inc()
-                except (ReplicaDown, ReplicaTimeout):
-                    replica.mark_dead()
-                    self._scount(shard_id, "stage_failures")
-                    continue
-                try:
-                    replica.call(
-                        "load",
-                        (version, part.restart_slice(shard_id)),
-                        load_timeout,
-                    )
+                    replica.call("load", payload, load_timeout)
                     ok = True
                 except (ReplicaDown, ReplicaTimeout, ReplicaCallError):
                     replica.mark_dead()
@@ -511,22 +483,6 @@ class ShardedService:
             shard=shard_id,
         )
 
-    @staticmethod
-    def _quarantine_from_error(message: str) -> None:
-        """Quarantine the segment a worker's integrity error names.
-
-        Worker error replies are strings (``"PlanIntegrityError: segment
-        'psm_...' ..."``); the quoted name is all the coordinator needs
-        to bar its own side from the segment and trigger republish.
-        """
-        import re
-
-        from ..core.shm import quarantine
-
-        match = re.search(r"segment '([^']+)'", message)
-        if match:
-            quarantine(match.group(1))
-
     def _restart_one(self, rset: ReplicaSet, replica=None):
         """Respawn one dead replica from the pinned slices; None on failure.
 
@@ -546,13 +502,8 @@ class ShardedService:
         try:
             replica.spawn(fault=worker_mod._SHARD_FAULT)
             for version, part in parts.items():
-                # Always a concrete slice: a ref would race epoch
-                # retirement — the plan may have unlinked its segment
-                # since this version was published.
                 replica.call(
-                    "load",
-                    (version, part.restart_slice(rset.shard_id)),
-                    load_timeout,
+                    "load", (version, part.slices[rset.shard_id]), load_timeout
                 )
         except (ReplicaDown, ReplicaTimeout, ReplicaCallError):
             replica.mark_dead()
@@ -811,7 +762,6 @@ class ShardedService:
                 "fleet.shed",
                 "fleet.restarts",
                 "fleet.publishes",
-                "fleet.integrity_fallbacks",
             )
         }
         with self._lock:

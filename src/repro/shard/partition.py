@@ -17,24 +17,10 @@ per-row ``(distance, slot)`` order is preserved, a worker evaluating the
 landmark-constrained minimum over slice rows is bitwise-identical to the
 unsharded plan evaluating the same rows.
 
-Two transports move a slice to a worker:
-
-* **shared memory** (preferred): when the plan owns a
-  :class:`~repro.core.shm.SharedPlanBuffers` segment, ``partition_plan``
-  emits :class:`ShardSliceRef`\\ s — a few integers plus the segment
-  name.  The worker attaches by name and materializes its subrange
-  locally, so the epoch broadcast pickles no label arrays at all
-  (``nshards × replication_factor`` workers would otherwise each
-  deserialize their slice from the pipe);
-* **pickle** (fallback): concrete :class:`ShardSlice` objects travel
-  over the pipe, exactly as before, whenever shared memory is
-  unavailable.
-
-Either way the coordinator's :class:`Partition` keeps a reference to the
-canonical arrays and can materialize any shard's concrete slice on
-demand (:meth:`Partition.restart_slice`) — restarts must not depend on
-the segment still being linked, since the owning epoch may retire (and
-unlink) while the fleet keeps serving.
+The slices travel to their workers by pickle over each worker's pipe, at
+spawn, on restart and on every epoch broadcast; the coordinator's
+:class:`Partition` keeps them, so a restarted replica is handed the same
+slice objects the broadcast shipped.
 
 :class:`Partition` additionally keeps what the *coordinator* needs to
 route without consulting any worker: the range boundaries and the full
@@ -50,13 +36,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from ..core.shm import SharedPlanRef
 from ..errors import RequestError
 
 __all__ = [
     "Partition",
     "ShardSlice",
-    "ShardSliceRef",
     "partition_plan",
     "shard_of",
 ]
@@ -100,64 +84,6 @@ class ShardSlice:
         )
 
 
-def _typed_copy(code: str, view) -> array:
-    """Materialize a buffer view (or array) into a fresh stdlib array."""
-    out = array(code)
-    out.frombytes(bytes(view))
-    return out
-
-
-@dataclass(frozen=True)
-class ShardSliceRef:
-    """The shared-memory transport form of one shard's slice.
-
-    A few dozen bytes on the pipe instead of the label arrays: the
-    worker resolves it by attaching the plan's segment
-    (:meth:`~repro.core.shm.SharedPlanRef.attach`) and cutting its
-    subrange out locally.  Raises ``FileNotFoundError`` if the owning
-    plan already unlinked the segment — the coordinator's restart path
-    avoids that window by shipping a concrete slice instead
-    (:meth:`Partition.restart_slice`).
-    """
-
-    plan: SharedPlanRef
-    shard_id: int
-    nshards: int
-    lo: int
-    hi: int
-
-    def materialize(self) -> ShardSlice:
-        """Attach, copy this shard's subrange out, detach."""
-        attachment = self.plan.attach()
-        try:
-            n, k, ids, offsets, slots, dists, hw = attachment.arrays()
-            lo, hi = self.lo, self.hi
-            base = offsets[lo]
-            end = offsets[hi]
-            local_offsets = array(
-                "q", (offsets[v] - base for v in range(lo, hi + 1))
-            )
-            row_lengths = array(
-                "q", (offsets[v + 1] - offsets[v] for v in range(n))
-            )
-            return ShardSlice(
-                shard_id=self.shard_id,
-                nshards=self.nshards,
-                lo=lo,
-                hi=hi,
-                n=n,
-                k=k,
-                landmark_ids=_typed_copy("q", ids),
-                offsets=local_offsets,
-                slots=_typed_copy("q", slots[base:end]),
-                dists=_typed_copy("d", dists[base:end]),
-                hw=_typed_copy("d", hw),
-                row_lengths=row_lengths,
-            )
-        finally:
-            attachment.close()
-
-
 def _bounds(n: int, nshards: int) -> list[int]:
     """Balanced contiguous range boundaries: ``nshards + 1`` fenceposts."""
     return [i * n // nshards for i in range(nshards + 1)]
@@ -181,72 +107,26 @@ class Partition:
 
     ``bounds`` has ``nshards + 1`` fenceposts; ``row_lengths[v]`` is
     ``|L(v)|`` for every vertex — the coordinator's copy of the
-    outer/inner selection key.  ``slices`` holds what the epoch
-    broadcast ships: :class:`ShardSliceRef`\\ s under the shared-memory
-    transport (``transport == "shm"``), concrete :class:`ShardSlice`\\ s
-    under pickle.  :meth:`restart_slice` always yields a concrete slice,
-    built lazily from the retained canonical arrays.
+    outer/inner selection key.  ``slices[i]`` is shard ``i``'s
+    :class:`ShardSlice`, shipped on the epoch broadcast and again to any
+    replica restarted while this partition is pinned.
     """
 
-    __slots__ = (
-        "nshards",
-        "n",
-        "k",
-        "bounds",
-        "row_lengths",
-        "slices",
-        "transport",
-        "_canonical",
-        "_concrete",
-    )
+    __slots__ = ("nshards", "n", "k", "bounds", "row_lengths", "slices")
 
-    def __init__(
-        self,
-        nshards,
-        n,
-        k,
-        bounds,
-        row_lengths,
-        slices,
-        transport="pickle",
-        canonical=None,
-    ):
+    def __init__(self, nshards, n, k, bounds, row_lengths, slices):
         self.nshards = nshards
         self.n = n
         self.k = k
         self.bounds = bounds
         self.row_lengths = row_lengths
         self.slices = slices
-        self.transport = transport
-        self._canonical = canonical
-        self._concrete: dict[int, ShardSlice] = {}
 
     def shard_of(self, v: int) -> int:
         return ((v + 1) * self.nshards + self.n - 1) // self.n - 1
 
-    def restart_slice(self, shard_id: int) -> ShardSlice:
-        """A concrete (pickle-transport) slice for worker restarts.
-
-        Built from the partition's retained canonical arrays — never
-        from the shared segment, which the owning epoch may already
-        have unlinked by the time a replica needs restarting.
-        """
-        sl = self.slices[shard_id]
-        if isinstance(sl, ShardSlice):
-            return sl
-        cached = self._concrete.get(shard_id)
-        if cached is None:
-            cached = self._concrete[shard_id] = _build_slice(
-                shard_id, self.nshards, self.bounds,
-                self._canonical, self.row_lengths,
-            )
-        return cached
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Partition(nshards={self.nshards}, n={self.n}, k={self.k}, "
-            f"transport={self.transport})"
-        )
+        return f"Partition(nshards={self.nshards}, n={self.n}, k={self.k})"
 
 
 def _build_slice(i, nshards, bounds, canonical, row_lengths) -> ShardSlice:
@@ -272,7 +152,7 @@ def _build_slice(i, nshards, bounds, canonical, row_lengths) -> ShardSlice:
     )
 
 
-def partition_plan(plan, nshards: int, transport: str = "auto") -> Partition:
+def partition_plan(plan, nshards: int) -> Partition:
     """Split ``plan`` into ``nshards`` contiguous-range slices.
 
     Accepts any :class:`~repro.core.plan.QueryPlan` (incremental plans
@@ -280,18 +160,9 @@ def partition_plan(plan, nshards: int, transport: str = "auto") -> Partition:
     first, so the slices always carry the canonical hole-free slot
     numbering — every shard of one partition agrees on slots and on the
     ``δ_H`` replica layout).
-
-    ``transport="auto"`` emits :class:`ShardSliceRef`\\ s whenever the
-    plan can own a shared-memory segment and concrete slices otherwise;
-    ``"pickle"`` forces concrete slices (tests and platforms without
-    shared memory).
     """
     if nshards < 1:
         raise RequestError(f"nshards must be >= 1, got {nshards}")
-    if transport not in ("auto", "pickle"):
-        raise RequestError(
-            f"transport must be 'auto' or 'pickle', got {transport!r}"
-        )
     canonical = plan.canonical_arrays()
     n, k, landmark_ids, offsets, slots, dists, hw = canonical
     if nshards > max(1, n):
@@ -302,22 +173,8 @@ def partition_plan(plan, nshards: int, transport: str = "auto") -> Partition:
     row_lengths = array(
         "q", (offsets[v + 1] - offsets[v] for v in range(n))
     )
-    shared = None
-    if transport == "auto":
-        shared = plan.shared_buffers()
-    if shared is not None:
-        slices: list = [
-            ShardSliceRef(shared.ref, i, nshards, bounds[i], bounds[i + 1])
-            for i in range(nshards)
-        ]
-        mode = "shm"
-    else:
-        slices = [
-            _build_slice(i, nshards, bounds, canonical, row_lengths)
-            for i in range(nshards)
-        ]
-        mode = "pickle"
-    return Partition(
-        nshards, n, k, bounds, row_lengths, slices,
-        transport=mode, canonical=canonical,
-    )
+    slices = [
+        _build_slice(i, nshards, bounds, canonical, row_lengths)
+        for i in range(nshards)
+    ]
+    return Partition(nshards, n, k, bounds, row_lengths, slices)

@@ -29,8 +29,9 @@ loop — one :meth:`tick` per ``period`` — that
    back.  Because a dead replica is exactly what puts a shard below its
    replication factor, the same pass restores full replication;
 #. optionally runs an **integrity check** every ``integrity_every``
-   ticks (wired to the plan segment's CRC verify and/or a
-   :class:`~repro.core.auditor.PlanAuditor` tick by the service layer);
+   ticks (the service layer wires a
+   :class:`~repro.core.auditor.PlanAuditor` tick:
+   ``lambda: svc.plan_audit_tick().clean``);
 #. rolls its verdict into fleet ``health()`` **with hysteresis**: after
    a storm the fleet reports ``recovering`` until ``hysteresis_ticks``
    consecutive clean sweeps, so flapping replicas cannot blink the
@@ -120,8 +121,8 @@ class FleetSupervisor:
         restart-backoff debt (its next crash restarts promptly again).
     integrity_check:
         Optional ``callable() -> bool`` (``True`` = clean) run every
-        ``integrity_every`` ticks, e.g. the owning plan's segment CRC
-        verify or a :class:`~repro.core.auditor.PlanAuditor` tick.
+        ``integrity_every`` ticks, e.g. a
+        :class:`~repro.core.auditor.PlanAuditor` tick.
     clock:
         Monotonic clock (default ``time.monotonic``); inject a
         :class:`~repro.testing.faults.FakeClock` for deterministic tests.

@@ -23,6 +23,9 @@ Ops::
     combine (version, S, T, ref, rows) -> landmark-constrained minima
     shutdown                           -> reply, then exit
 
+``load`` carries the :class:`~repro.shard.partition.ShardSlice` itself,
+pickled over the pipe like every other payload.
+
 The data ops carry packed stdlib arrays, never tuples: vertex ids,
 ``ref``, ``lens`` and ``slots`` are ``array('q')``; distances and
 answers are ``array('d')``.  A set of label rows travels as CSR: row
@@ -63,7 +66,7 @@ from itertools import accumulate
 
 from ..core.plan import min_plus
 from ..core.planvec import VectorBackend, gather_min_plus, numpy_available
-from .partition import ShardSlice, ShardSliceRef
+from .partition import ShardSlice
 
 __all__ = ["shard_worker_main"]
 
@@ -220,11 +223,6 @@ def shard_worker_main(conn, shard_id: int, replica_id: int, fault=None) -> None:
                 }
             elif op == "load":
                 version, sl = payload
-                if isinstance(sl, ShardSliceRef):
-                    # Shared-memory transport: only the ref crossed the
-                    # pipe; attach the plan's segment by name and cut
-                    # this shard's subrange out locally.
-                    sl = sl.materialize()
                 states[version] = _ShardState(sl)
                 result = version
             elif op == "drop":

@@ -15,7 +15,6 @@ from .faults import (
     ShardFault,
     WorkerFault,
     corrupt_byte,
-    corrupt_segment,
     drop_heartbeats,
     fail_at_label_write,
     fail_at_phase,
@@ -35,7 +34,6 @@ __all__ = [
     "StepScheduler",
     "WorkerFault",
     "corrupt_byte",
-    "corrupt_segment",
     "drop_heartbeats",
     "fail_at_label_write",
     "fail_at_phase",

@@ -46,7 +46,6 @@ __all__ = [
     "ShardFault",
     "WorkerFault",
     "corrupt_byte",
-    "corrupt_segment",
     "drop_heartbeats",
     "fail_at_label_write",
     "fail_at_phase",
@@ -417,46 +416,6 @@ def corrupt_byte(path: str | Path, offset: int, xor: int = 0xFF) -> None:
         byte = fh.read(1)[0]
         fh.seek(offset)
         fh.write(bytes([byte ^ xor]))
-
-
-def corrupt_segment(ref, offset: int = 0, xor: int = 0xFF) -> None:
-    """Flip bits of one byte inside a live shared-memory plan segment.
-
-    ``ref`` is a :class:`~repro.core.shm.SharedPlanRef`; ``offset`` is
-    relative to the segment's *data block* (the five canonical arrays —
-    negative offsets count from its end), so the flip lands in label
-    data, the place where silent corruption would otherwise become a
-    bitwise-wrong distance.  The next verifying attach (or on-demand
-    ``verify()``) must detect it and raise
-    :class:`~repro.errors.PlanIntegrityError`.
-    """
-    from ..core import shm as shm_mod
-
-    if not 1 <= xor <= 0xFF:
-        raise ValueError(f"xor mask must be in [1, 255], got {xor}")
-    shared_memory = shm_mod._load_shared_memory()
-    if shared_memory is None:  # pragma: no cover - platform guard
-        raise RuntimeError("shared memory unsupported on platform")
-    try:
-        seg = shared_memory.SharedMemory(name=ref.name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        seg = shm_mod._attach_untracked(shared_memory, ref.name)
-    try:
-        layout = shm_mod._Layout(ref.n, ref.k, ref.entries)
-        data_bytes = layout.data_cells * shm_mod._ITEMSIZE
-        if offset < 0:
-            offset += data_bytes
-        if not 0 <= offset < data_bytes:
-            raise ValueError(
-                f"offset {offset} outside data block of {data_bytes} bytes"
-            )
-        pos = shm_mod._HEADER_CELLS * shm_mod._ITEMSIZE + offset
-        seg.buf[pos] = seg.buf[pos] ^ xor
-    finally:
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - lingering view
-            pass
 
 
 def truncate_tail(path: str | Path, nbytes: int) -> None:

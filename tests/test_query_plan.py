@@ -438,22 +438,39 @@ class TestServiceAndCacheIntegration:
         from repro.service import HCLService
 
         from repro.core.planvec import default_backend
-        from repro.core.shm import shm_available
 
         svc = HCLService.build(grid_graph(4, 5), [0, 19])
-        health = svc.health()
-        # ``integrity`` mirrors process-global shm counters; assert its
-        # shape rather than values (other tests in the run bump them).
-        integrity = health["plan"].pop("integrity")
-        assert integrity["auditor"] is None
-        assert isinstance(integrity["quarantined_segments"], tuple)
-        assert integrity["verified"] >= 0
-        assert health["plan"] == {
+        assert svc.health()["plan"] == {
             "mode": "auto",
             "compiled": False,
             "epochs": None,
             "backend": default_backend(),
-            "shm": shm_available(),
+            "integrity": {"auditor": None},
         }
         svc._dyn.index.compile_plan()
         assert svc.health()["plan"]["compiled"] is True
+        assert svc.plan_audit_tick().clean
+        assert svc.health()["plan"]["integrity"]["auditor"] == {
+            "ticks": 1,
+            "rows_checked": 8,
+            "mismatches_found": 0,
+            "republishes": 0,
+        }
+
+    def test_plan_audit_republishes_a_corrupt_row(self):
+        from repro.service import HCLService
+
+        svc = HCLService.build(grid_graph(4, 5), [0, 19])
+        index = svc._dyn.index
+        plan = index.compile_plan()
+        want = [plan.query(s, t) for s, t in all_pairs(20)]
+        for v in range(20):  # silently corrupt every non-empty row
+            lo, hi = plan.label_offsets[v], plan.label_offsets[v + 1]
+            if lo < hi:
+                plan.label_dists[lo] += 1.0
+        report = svc.plan_audit_tick()
+        assert report.mismatches >= 1 and report.republished
+        assert not report.clean
+        assert index.plan() is None  # the corrupt plan is never served again
+        fresh = index.compile_plan()
+        assert [fresh.query(s, t) for s, t in all_pairs(20)] == want

@@ -66,9 +66,23 @@ class TestValidation:
         )
         assert len(result) == 2
 
-    def test_batch_pairs_validated_with_position(self, svc):
-        with pytest.raises(VertexError, match=r"pair 1"):
-            svc.submit(BatchQueryRequest(pairs=((0, 1), (2, 99))))
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((2, 99), VertexError),
+            ((2, 3.5), VertexError),
+            ((2, "7"), VertexError),
+            ((2, None), VertexError),
+            ((1.0, 2), VertexError),  # would hit a cached (1, 2)
+            ((1, 2, 3), RequestError),
+        ],
+        ids=["out_of_range", "float", "str", "none", "integral_float", "ragged"],
+    )
+    def test_batch_pairs_validated_with_position(self, svc, bad, error):
+        svc.query_batch([(1, 2)])  # warm the cache
+        with pytest.raises(error, match=r"pair 1"):
+            svc.submit(BatchQueryRequest(pairs=((0, 1), bad)))
+        assert svc.audit[-1].error.startswith(error.__name__)
 
     def test_unknown_request_type_rejected(self, svc):
         with pytest.raises(RequestError):

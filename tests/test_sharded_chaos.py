@@ -23,7 +23,6 @@ from repro.shard import FleetSupervisor, ShardedService
 from repro.testing import (
     HeartbeatFault,
     ShardFault,
-    corrupt_segment,
     drop_heartbeats,
     inject_shard_fault,
 )
@@ -135,19 +134,6 @@ def test_nonfatal_faults_fail_over_without_wrong_answers(fixture_plan, kind):
 MAX_CONVERGENCE_TICKS = 40
 
 
-def _fresh_plan(seed, n_lo=60, n_hi=80, k=4, npairs=100):
-    """A private plan per test: corruption quarantine is process-global
-    and sticky, so corrupting the shared module fixture would poison
-    every later test."""
-    g = random_graph(seed, n_lo=n_lo, n_hi=n_hi)
-    lmks = select_landmarks(g, k, policy="degree")
-    plan = build_hcl(g, lmks).compile_plan()
-    rng = random.Random(seed + 1)
-    pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(npairs)]
-    oracle = [plan.query(s, t) for s, t in pairs]
-    return plan, pairs, oracle
-
-
 def _assert_bitwise_or_degraded(oracle, got):
     assert len(got) == len(oracle)
     for want, have in zip(oracle, got):
@@ -204,79 +190,3 @@ def test_kill_and_hang_storm_converges_within_bounded_ticks(
         assert health["replicas_alive"] == NSHARDS * RF
         # The revived workers serve the re-broadcast epoch bitwise.
         _assert_bitwise_or_degraded(oracle, svc.query_batch(pairs))
-
-
-def test_corrupted_segment_is_never_served_and_stage_falls_back():
-    """A byte-flipped shm segment is detected *on attach* by every
-    worker; the fleet stages over the pickle transport instead and the
-    batch completes bitwise — corruption visible, answers untouched."""
-    from repro.core.shm import is_quarantined
-
-    plan, pairs, oracle = _fresh_plan(101)
-    shared = plan.shared_buffers()
-    if shared is None:
-        pytest.skip("shared memory unavailable")
-    corrupt_segment(shared.ref, offset=64, xor=0x20)
-    with ShardedService(
-        plan, nshards=2, replication_factor=2, rpc_timeout=1.0
-    ) as svc:
-        got = svc.query_batch(pairs)
-        assert got == oracle  # bitwise: pickle slices carry clean arrays
-        assert svc.registry.counter("fleet.integrity_fallbacks").value >= 1
-        assert is_quarantined(shared.ref.name)
-        assert svc.health()["status"] == "ok"
-    plan.release_shared()
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_full_storm_kill_hang_corrupt_converges(seed):
-    """The whole menu at once — worker kills, dropped heartbeats, and a
-    byte-flipped segment — with the supervisor's integrity check wired
-    to the owner's CRC verify.  Required arc: corruption detected,
-    segment quarantined and republished, fleet back to ``ok`` within the
-    tick budget, answers bitwise-or-degraded, nothing hangs."""
-    plan, pairs, oracle = _fresh_plan(200 + seed)
-    shared = plan.shared_buffers()
-    if shared is None:
-        pytest.skip("shared memory unavailable")
-    rng = random.Random(900 + seed)
-    with ShardedService(
-        plan, nshards=2, replication_factor=2, rpc_timeout=1.0
-    ) as svc:
-        assert svc.query_batch(pairs) == oracle  # healthy warm-up
-
-        def segment_clean():
-            # The owner's remedy built in: shared_buffers() republishes
-            # a fresh segment once the poisoned one is quarantined, so
-            # the check fails exactly once and then heals.
-            fresh = plan.shared_buffers()
-            return fresh is not None and fresh.verify()
-
-        corrupt_segment(shared.ref, offset=rng.randrange(256), xor=0xFF)
-        victims = rng.sample([(0, 0), (0, 1), (1, 0), (1, 1)], 2)
-        for s, r in victims:
-            svc._sets[s].replicas[r].terminate()
-        hang = HeartbeatFault(shard=rng.randrange(2), ticks=(0,))
-        sup = FleetSupervisor(
-            svc,
-            ping_timeout=2.0,
-            hang_ticks=2,
-            hysteresis_ticks=2,
-            integrity_check=segment_clean,
-            integrity_every=1,
-            restart_backoff=BackoffPolicy(
-                base_delay=0.01, max_delay=0.05, jitter=0.0
-            ),
-        )
-        start = time.monotonic()
-        with drop_heartbeats(hang):
-            spent = sup.run_until_ok(MAX_CONVERGENCE_TICKS)
-        assert time.monotonic() - start < BATCH_DEADLINE
-        assert spent <= MAX_CONVERGENCE_TICKS
-        assert sup.registry.counter("supervisor.integrity_failures").value >= 1
-        assert segment_clean()  # republished segment passes its CRCs
-        health = svc.health()
-        assert health["status"] == "ok"
-        assert health["replicas_alive"] == 4
-        _assert_bitwise_or_degraded(oracle, svc.query_batch(pairs))
-    plan.release_shared()
